@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
-	"sort"
+	"slices"
 
 	"falcon/internal/cc"
 	"falcon/internal/index"
@@ -114,14 +115,11 @@ func (tx *Txn) commitGroupTail() {
 // later ops override earlier ones) and stamps durable writer timestamps,
 // one per touched slot. Touched slots are tracked in first-touch order (a
 // map here would iterate in random order, making the WriteTS sequence — and
-// with it the simulated cache state — differ between identical runs).
+// with it the simulated cache state — differ between identical runs). The
+// returned entries live in the transaction's reused buffer.
 func (tx *Txn) applyWriteSet() []applyEntry {
 	apply := tx.applyOrder()
-	type touchedSlot struct {
-		t    *Table
-		slot uint64
-	}
-	touched := make([]touchedSlot, 0, len(apply))
+	touched := tx.touched[:0]
 	markTouched := func(t *Table, slot uint64) {
 		for i := range touched {
 			if touched[i].t == t && touched[i].slot == slot {
@@ -154,6 +152,7 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 	for i := range touched {
 		touched[i].t.heap.WriteTS(tx.clk, touched[i].slot, tx.tid)
 	}
+	tx.touched = touched
 	return apply
 }
 
@@ -163,15 +162,23 @@ type applyEntry struct {
 	ins *insertOp
 }
 
+type touchedSlot struct {
+	t    *Table
+	slot uint64
+}
+
+// applyOrder merges the buffered writes and inserts into log order, in the
+// transaction's reused buffer.
 func (tx *Txn) applyOrder() []applyEntry {
-	out := make([]applyEntry, 0, len(tx.writes)+len(tx.inserts))
+	out := tx.applyBuf[:0]
 	for i := range tx.writes {
 		out = append(out, applyEntry{pos: tx.writes[i].logPos, w: &tx.writes[i]})
 	}
 	for i := range tx.inserts {
 		out = append(out, applyEntry{pos: tx.inserts[i].logPos, ins: &tx.inserts[i]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	slices.SortFunc(out, func(a, b applyEntry) int { return cmp.Compare(a.pos, b.pos) })
+	tx.applyBuf = out
 	return out
 }
 
@@ -498,7 +505,10 @@ func (tx *Txn) finish(committed bool) {
 }
 
 // Run executes fn inside a transaction on worker's thread, retrying on
-// conflicts. fn may return ErrRollback to abort without retry.
+// conflicts. fn may return ErrRollback to abort without retry. The *Txn
+// passed to fn is valid only until fn returns: the engine reuses it for the
+// worker's later attempts and calls (Begin and BeginRO return a Txn the
+// caller owns).
 func (e *Engine) Run(worker int, fn func(*Txn) error) error {
 	return e.run(worker, false, nil, fn)
 }
@@ -523,16 +533,26 @@ func (e *Engine) RunROCancelable(worker int, canceled func() bool, fn func(*Txn)
 }
 
 func (e *Engine) run(worker int, ro bool, canceled func() bool, fn func(*Txn) error) error {
+	// The worker's finished Txn from its previous attempt or call is reused:
+	// no one else holds it, because run never hands a Txn out beyond fn.
+	// Taking it out of the slot keeps a nested run on the same worker from
+	// sharing it.
+	slot := &e.scratch[worker].spare
+	spare := *slot
+	*slot = nil
+	defer func() { *slot = spare }()
 	for {
 		if canceled != nil && canceled() {
 			return ErrCanceled
 		}
 		var tx *Txn
-		if ro {
-			tx = e.BeginRO(worker)
+		if spare != nil {
+			tx = spare.recycle()
 		} else {
-			tx = e.Begin(worker)
+			tx = &Txn{}
 		}
+		spare = tx
+		e.beginTxn(tx, worker, ro)
 		tx.cancel = canceled
 		err := fn(tx)
 		if err == nil {

@@ -97,11 +97,12 @@ type Engine struct {
 	validateHits bool
 }
 
-// workerScratch is a per-worker reusable payload buffer, padded against
-// false sharing.
+// workerScratch is a worker's reusable state — a payload buffer and the
+// Txn that Engine.run recycles — padded against false sharing.
 type workerScratch struct {
-	buf []byte
-	_   [5]uint64
+	buf   []byte
+	spare *Txn
+	_     [4]uint64
 }
 
 // Table is one relation: a tuple heap plus its indexes and (for MVCC) the

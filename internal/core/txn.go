@@ -74,6 +74,26 @@ type Txn struct {
 	reads      []readRef
 	locks      []lockRef
 	occIntents []lockRef // OCC write intents awaiting validation-time locks
+
+	// Commit-time scratch, reused across the commits of a recycled Txn (see
+	// Engine.run): the log-ordered apply list and the slots whose writer
+	// timestamps it stamps.
+	applyBuf []applyEntry
+	touched  []touchedSlot
+}
+
+// recycle returns tx, finished, as a fresh zero Txn that keeps its slices'
+// backing arrays, so the next transaction on the worker appends into them
+// without allocating. Only the engine may recycle a Txn, and only one whose
+// lifetime it owns (Engine.run): a caller-held *Txn must never change
+// underneath its holder.
+func (tx *Txn) recycle() *Txn {
+	*tx = Txn{
+		writes: tx.writes[:0], inserts: tx.inserts[:0], reads: tx.reads[:0],
+		locks: tx.locks[:0], occIntents: tx.occIntents[:0],
+		applyBuf: tx.applyBuf[:0], touched: tx.touched[:0],
+	}
+	return tx
 }
 
 // setAbortCause records why this transaction is about to abort. Later calls
@@ -168,6 +188,11 @@ func (e *Engine) BeginRO(worker int) *Txn {
 }
 
 func (e *Engine) begin(worker int, ro bool) *Txn {
+	return e.beginTxn(&Txn{}, worker, ro)
+}
+
+// beginTxn starts tx, a zero Txn (possibly recycled), on worker's thread.
+func (e *Engine) beginTxn(tx *Txn, worker int, ro bool) *Txn {
 	clk := e.clocks[worker]
 	var tid uint64
 	if e.det != nil {
@@ -176,7 +201,7 @@ func (e *Engine) begin(worker int, ro bool) *Txn {
 		tid = e.gen.Next(worker)
 	}
 	e.active.Set(worker, tid)
-	tx := &Txn{e: e, worker: worker, tid: tid, clk: clk, ro: ro}
+	tx.e, tx.worker, tx.tid, tx.clk, tx.ro = e, worker, tid, clk, ro
 	if e.det != nil {
 		tx.dt = &detTxn{ov: make(map[detSlot]*ovEntry, 8)}
 	}

@@ -122,7 +122,7 @@ type write struct {
 
 // model is the golden host-side truth the oracle checks recovery against.
 type model struct {
-	committed map[cellKey]int64         // exact value of every acked live row
+	committed map[cellKey]int64          // exact value of every acked live row
 	seen      map[cellKey]map[int64]bool // every value ever intended for the row (incl. load)
 	touched   map[cellKey]bool
 	inFlight  []write // write set of the attempt in progress; nil when quiescent

@@ -22,15 +22,29 @@ type backend interface {
 //
 // The store/load line paths are the hottest host-side code in the whole
 // simulation (every simulated memory access funnels through them), so they
-// are written lock-lean: a bare address-compare scan on the hit path with
-// the victim walk deferred to misses, explicit unlocks instead of defer,
-// and per-worker stats shards instead of shared counters.
+// are written lock-lean: a bare tag compare on the hit path with the victim
+// walk deferred to misses, explicit unlocks instead of defer, hit counts
+// batched per Load/Store call, and per-worker stats shards instead of shared
+// counters.
+//
+// Per-way state lives in flat set-major arrays: way w of set s is index
+// s*ways+w of addrs, lru, dirty and data. The hit scan reads only addrs —
+// 8 B per way, so a 16-way set's tags span two host cache lines — and an
+// invalid way holds invalidAddr, so the scan needs no separate state test.
 type Cache struct {
 	mode  Mode
 	ways  int
 	nsets uint64
 	limit uint64
 	sets  []cacheSet
+	// addrs holds each way's line address, or invalidAddr when the way is
+	// empty; lru its last-access tick (per set); dirty whether the resident
+	// line differs from the backend (never set on an empty way); data its
+	// 64 B payload.
+	addrs []uint64
+	lru   []uint64
+	dirty []bool
+	data  [][LineSize]byte
 	lower backend
 	stats *Stats
 	cost  sim.CostModel
@@ -51,32 +65,18 @@ type Cache struct {
 	dataless bool
 }
 
-// lineMeta is the scanned-per-access part of a cache line. It is kept apart
-// from the 64 B payloads so the way walk in findHit/victim streams over a
-// compact array (24 B per way) instead of striding across payload data —
-// with 8–16 ways that is the difference between one or two host cache lines
-// and a dozen.
-type lineMeta struct {
-	addr  uint64 // line-aligned address; meaningful only when state != lineInvalid
-	lru   uint64 // last-access tick (per set)
-	state uint8
-}
+// invalidAddr marks an empty way. Its low bits are set, so it never equals
+// a line-aligned address and the hit scan can compare tags alone.
+const invalidAddr = ^uint64(0)
 
-const (
-	lineInvalid uint8 = iota
-	lineClean
-	lineDirty
-)
-
-// cacheSet occupies exactly one host cache line (4 B lock + padding + 8 B tick + two
-// 24 B slice headers): its mutex and LRU tick are written on every access,
-// and without that sizing adjacent sets would share a host cache line and
-// bounce it between workers hitting different sets.
+// cacheSet is a set's lock and LRU clock, padded to exactly one host cache
+// line: both are written on every access, and without the padding adjacent
+// sets would share a host line and bounce it between workers hitting
+// different sets. The set's ways live in the Cache's flat arrays.
 type cacheSet struct {
 	mu   spinLock
 	tick uint64
-	meta []lineMeta
-	data [][LineSize]byte
+	_    [48]byte
 }
 
 // newCache creates a cache of capacityBytes with the given associativity
@@ -93,11 +93,12 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 	for nsets&(nsets-1) != 0 {
 		nsets &= nsets - 1 // round down to a power of two
 	}
-	c := &Cache{mode: mode, ways: ways, nsets: nsets, limit: limit, lower: lower, stats: stats, cost: cost}
-	c.sets = make([]cacheSet, nsets)
-	for i := range c.sets {
-		c.sets[i].meta = make([]lineMeta, ways)
-		c.sets[i].data = make([][LineSize]byte, ways)
+	n := int(nsets) * ways
+	c := &Cache{mode: mode, ways: ways, nsets: nsets, limit: limit, lower: lower, stats: stats, cost: cost,
+		sets: make([]cacheSet, nsets), addrs: make([]uint64, n), lru: make([]uint64, n),
+		dirty: make([]bool, n), data: make([][LineSize]byte, n)}
+	for i := range c.addrs {
+		c.addrs[i] = invalidAddr
 	}
 	return c
 }
@@ -105,17 +106,19 @@ func newCache(lower backend, stats *Stats, mode Mode, capacityBytes, ways int, l
 // Mode returns the persistence domain configuration.
 func (c *Cache) Mode() Mode { return c.mode }
 
-// setFor hashes the line address to a set. Real last-level caches hash
-// their set index (Intel's slice/CBo hashing), which decorrelates the
-// eviction times of adjacent lines; without this, a tuple's lines would be
-// evicted together and merge in the XPBuffer even when never flushed,
-// erasing the write-amplification effect the paper builds on (§3.3).
-func (c *Cache) setFor(lineAddr uint64) *cacheSet {
+// setFor hashes the line address to a set and returns the set with the
+// index of its first way. Real last-level caches hash their set index
+// (Intel's slice/CBo hashing), which decorrelates the eviction times of
+// adjacent lines; without this, a tuple's lines would be evicted together
+// and merge in the XPBuffer even when never flushed, erasing the
+// write-amplification effect the paper builds on (§3.3).
+func (c *Cache) setFor(lineAddr uint64) (*cacheSet, int) {
 	x := lineAddr / LineSize
 	x ^= x >> 17
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
-	return &c.sets[x&(c.nsets-1)]
+	i := x & (c.nsets - 1)
+	return &c.sets[i], int(i) * c.ways
 }
 
 func (c *Cache) checkRange(addr uint64, n int) {
@@ -135,6 +138,7 @@ func (c *Cache) Store(clk *sim.Clock, addr uint64, src []byte) {
 	}
 	sh := c.stats.ShardFor(clk)
 	sh.BytesStored.Add(uint64(len(src)))
+	var hits uint64
 	for len(src) > 0 {
 		la := lineFloor(addr)
 		off := int(addr - la)
@@ -142,40 +146,46 @@ func (c *Cache) Store(clk *sim.Clock, addr uint64, src []byte) {
 		if n > len(src) {
 			n = len(src)
 		}
-		c.storeLine(clk, sh, la, off, src[:n])
+		if c.storeLine(clk, sh, la, off, src[:n]) {
+			hits++
+		}
 		if c.faults != nil {
 			// A line store may have noted evictions/drains under the set
-			// lock; fire the pending crash now that no lock is held.
+			// lock; fire the pending crash now that no lock is held, with
+			// the hits so far already counted.
+			sh.CacheHits.Add(hits)
+			hits = 0
 			c.faults.check()
 		}
 		addr += uint64(n)
 		src = src[n:]
 	}
+	sh.CacheHits.Add(hits)
 }
 
-func (c *Cache) storeLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, src []byte) {
-	set := c.setFor(lineAddr)
+// storeLine stores into one line and reports whether it hit. Hits are
+// counted by the caller, once per Store; misses count here.
+func (c *Cache) storeLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, src []byte) bool {
+	set, base := c.setFor(lineAddr)
 	set.mu.lock()
 
-	if w := set.findHit(lineAddr); w >= 0 {
+	if w := c.findHit(base, lineAddr); w >= 0 {
 		if !c.dataless {
-			copy(set.data[w][off:off+len(src)], src)
+			copy(c.data[w][off:off+len(src)], src)
 		}
-		set.meta[w].state = lineDirty
+		c.dirty[w] = true
 		set.tick++
-		set.meta[w].lru = set.tick
+		c.lru[w] = set.tick
 		set.mu.unlock()
-		sh.CacheHits.Add(1)
 		clk.Advance(c.cost.CacheHitLine)
-		return
+		return true
 	}
 
-	w := set.victim()
-	c.evictLocked(clk, sh, set, w)
-	m := &set.meta[w]
-	m.addr = lineAddr
+	w := c.victim(base)
+	c.evictLocked(clk, sh, w)
+	c.addrs[w] = lineAddr
 	set.tick++
-	m.lru = set.tick
+	c.lru[w] = set.tick
 	sh.CacheMisses.Add(1)
 	clk.Advance(c.cost.CacheMissLine)
 	if off != 0 || len(src) != LineSize {
@@ -183,13 +193,14 @@ func (c *Cache) storeLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off in
 		// come from below. A store covering the whole line skips the fill —
 		// every byte is about to be overwritten, so the read-modify-write
 		// would be pure wasted host work and a spurious media/buffer read.
-		c.lower.fillLine(clk, lineAddr, &set.data[w])
+		c.lower.fillLine(clk, lineAddr, &c.data[w])
 	}
 	if !c.dataless {
-		copy(set.data[w][off:off+len(src)], src)
+		copy(c.data[w][off:off+len(src)], src)
 	}
-	m.state = lineDirty
+	c.dirty[w] = true
 	set.mu.unlock()
+	return false
 }
 
 // Load reads [addr, addr+len(dst)) into dst through the cache, installing
@@ -197,6 +208,7 @@ func (c *Cache) storeLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off in
 func (c *Cache) Load(clk *sim.Clock, addr uint64, dst []byte) {
 	c.checkRange(addr, len(dst))
 	sh := c.stats.ShardFor(clk)
+	var hits uint64
 	for len(dst) > 0 {
 		la := lineFloor(addr)
 		off := int(addr - la)
@@ -204,45 +216,49 @@ func (c *Cache) Load(clk *sim.Clock, addr uint64, dst []byte) {
 		if n > len(dst) {
 			n = len(dst)
 		}
-		c.loadLine(clk, sh, la, off, dst[:n])
+		if c.loadLine(clk, sh, la, off, dst[:n]) {
+			hits++
+		}
 		if c.faults != nil {
+			sh.CacheHits.Add(hits)
+			hits = 0
 			c.faults.check() // evictions noted under the set lock
 		}
 		addr += uint64(n)
 		dst = dst[n:]
 	}
+	sh.CacheHits.Add(hits)
 }
 
-func (c *Cache) loadLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, dst []byte) {
-	set := c.setFor(lineAddr)
+// loadLine loads from one line and reports whether it hit (see storeLine).
+func (c *Cache) loadLine(clk *sim.Clock, sh *StatShard, lineAddr uint64, off int, dst []byte) bool {
+	set, base := c.setFor(lineAddr)
 	set.mu.lock()
 
-	if w := set.findHit(lineAddr); w >= 0 {
+	if w := c.findHit(base, lineAddr); w >= 0 {
 		if !c.dataless {
-			copy(dst, set.data[w][off:off+len(dst)])
+			copy(dst, c.data[w][off:off+len(dst)])
 		}
 		set.tick++
-		set.meta[w].lru = set.tick
+		c.lru[w] = set.tick
 		set.mu.unlock()
-		sh.CacheHits.Add(1)
 		clk.Advance(c.cost.CacheHitLine)
-		return
+		return true
 	}
 
-	w := set.victim()
-	c.evictLocked(clk, sh, set, w)
-	m := &set.meta[w]
-	m.addr = lineAddr
+	w := c.victim(base)
+	c.evictLocked(clk, sh, w)
+	c.addrs[w] = lineAddr
 	set.tick++
-	m.lru = set.tick
+	c.lru[w] = set.tick
 	sh.CacheMisses.Add(1)
 	clk.Advance(c.cost.CacheMissLine)
-	c.lower.fillLine(clk, lineAddr, &set.data[w])
-	m.state = lineClean
+	c.lower.fillLine(clk, lineAddr, &c.data[w])
 	if !c.dataless {
-		copy(dst, set.data[w][off:off+len(dst)])
+		copy(dst, c.data[w][off:off+len(dst)])
 	}
 	set.mu.unlock()
+	return false
 }
 
 // CLWB writes back the lines covering [addr, addr+n) if they are present and
@@ -263,22 +279,28 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 			c.faults.check()
 		}
 		clk.Advance(c.cost.ClwbIssue)
-		set := c.setFor(la)
-		set.mu.lock()
-		if w := set.findHit(la); w >= 0 && set.meta[w].state == lineDirty {
-			clk.Advance(c.cost.LineWriteback)
-			c.lower.writeBackLine(clk, la, &set.data[w])
-			set.meta[w].state = lineClean
-			sh.ClwbWritebacks.Add(1)
-			if c.contend != nil {
-				c.contend(clk.ShardID(), ContendClwbLine, la)
-			}
-		}
-		set.mu.unlock()
+		c.writeBackResident(clk, sh, la, ContendClwbLine)
 		if c.faults != nil {
 			c.faults.check() // drains noted under the bank lock
 		}
 	}
+}
+
+// writeBackResident is the per-line body of CLWB and CLWBTrain: if la is
+// resident and dirty, write it back and leave it clean.
+func (c *Cache) writeBackResident(clk *sim.Clock, sh *StatShard, la uint64, kind ContendKind) {
+	set, base := c.setFor(la)
+	set.mu.lock()
+	if w := c.findHit(base, la); w >= 0 && c.dirty[w] {
+		clk.Advance(c.cost.LineWriteback)
+		c.lower.writeBackLine(clk, la, &c.data[w])
+		c.dirty[w] = false
+		sh.ClwbWritebacks.Add(1)
+		if c.contend != nil {
+			c.contend(clk.ShardID(), kind, la)
+		}
+	}
+	set.mu.unlock()
 }
 
 // Span is one contiguous byte range of a flush train.
@@ -327,18 +349,7 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 				clk.Advance(c.cost.ClwbTrainNext)
 			}
 			sh.FlushTrainLines.Add(1)
-			set := c.setFor(la)
-			set.mu.lock()
-			if w := set.findHit(la); w >= 0 && set.meta[w].state == lineDirty {
-				clk.Advance(c.cost.LineWriteback)
-				c.lower.writeBackLine(clk, la, &set.data[w])
-				set.meta[w].state = lineClean
-				sh.ClwbWritebacks.Add(1)
-				if c.contend != nil {
-					c.contend(clk.ShardID(), ContendTrainLine, la)
-				}
-			}
-			set.mu.unlock()
+			c.writeBackResident(clk, sh, la, ContendTrainLine)
 			if c.faults != nil {
 				c.faults.check() // drains noted under the bank lock
 			}
@@ -359,11 +370,10 @@ func (c *Cache) FlushAll(clk *sim.Clock) {
 	for i := range c.sets {
 		set := &c.sets[i]
 		set.mu.lock()
-		for j := range set.meta {
-			m := &set.meta[j]
-			if m.state == lineDirty {
-				c.lower.writeBackLine(clk, m.addr, &set.data[j])
-				m.state = lineClean
+		for w := i * c.ways; w < (i+1)*c.ways; w++ {
+			if c.dirty[w] {
+				c.lower.writeBackLine(clk, c.addrs[w], &c.data[w])
+				c.dirty[w] = false
 			}
 		}
 		set.mu.unlock()
@@ -390,17 +400,16 @@ func (c *Cache) crashWriteback(clk *sim.Clock) {
 	for i := range c.sets {
 		set := &c.sets[i]
 		set.mu.lock()
-		for j := range set.meta {
-			m := &set.meta[j]
-			if m.state == lineDirty {
+		for w := i * c.ways; w < (i+1)*c.ways; w++ {
+			if c.dirty[w] {
 				if c.mode == EADR {
-					c.lower.writeBackLine(clk, m.addr, &set.data[j])
+					c.lower.writeBackLine(clk, c.addrs[w], &c.data[w])
 					sh.CrashFlushedLines.Add(1)
 				} else {
 					sh.CrashDroppedLines.Add(1)
 				}
 			}
-			m.state = lineInvalid
+			c.addrs[w], c.dirty[w] = invalidAddr, false
 		}
 		set.mu.unlock()
 	}
@@ -408,23 +417,25 @@ func (c *Cache) crashWriteback(clk *sim.Clock) {
 
 // evictLocked frees way w, writing back its line if dirty. Caller holds the
 // set mutex and immediately reuses the slot.
-func (c *Cache) evictLocked(clk *sim.Clock, sh *StatShard, set *cacheSet, w int) {
-	m := &set.meta[w]
-	if c.faults != nil && m.state != lineInvalid {
+func (c *Cache) evictLocked(clk *sim.Clock, sh *StatShard, w int) {
+	la := c.addrs[w]
+	if la == invalidAddr {
+		return
+	}
+	if c.faults != nil {
 		c.faults.note(FaultEvict) // under the set lock: note only, no panic
 	}
-	switch m.state {
-	case lineDirty:
+	if c.dirty[w] {
 		clk.Advance(c.cost.LineWriteback)
-		c.lower.writeBackLine(clk, m.addr, &set.data[w])
+		c.lower.writeBackLine(clk, la, &c.data[w])
 		sh.DirtyEvictions.Add(1)
 		if c.contend != nil {
-			c.contend(clk.ShardID(), ContendEvictLine, m.addr)
+			c.contend(clk.ShardID(), ContendEvictLine, la)
 		}
-	case lineClean:
+	} else {
 		sh.CleanEvictions.Add(1)
 	}
-	m.state = lineInvalid
+	c.addrs[w], c.dirty[w] = invalidAddr, false
 }
 
 // invalidateAll drops every resident line without writing anything back.
@@ -435,38 +446,38 @@ func (c *Cache) invalidateAll() {
 	for i := range c.sets {
 		set := &c.sets[i]
 		set.mu.lock()
-		for j := range set.meta {
-			set.meta[j].state = lineInvalid
+		for w := i * c.ways; w < (i+1)*c.ways; w++ {
+			c.addrs[w], c.dirty[w] = invalidAddr, false
 		}
 		set.mu.unlock()
 	}
 }
 
-// findHit returns the way holding lineAddr, or -1. Hits are the common
-// case, so this scan is kept to a bare address compare per way over the
-// compact meta array; the victim walk runs separately and only on misses.
-func (s *cacheSet) findHit(lineAddr uint64) int {
-	for i := range s.meta {
-		if s.meta[i].addr == lineAddr && s.meta[i].state != lineInvalid {
-			return i
+// findHit returns the flat index of the way in the set starting at base
+// that holds lineAddr, or -1. Hits are the common case, so this is a bare
+// compare over the set's 8 B tags; empty ways hold invalidAddr and never
+// match. The victim walk runs separately and only on misses.
+func (c *Cache) findHit(base int, lineAddr uint64) int {
+	for i, a := range c.addrs[base : base+c.ways] {
+		if a == lineAddr {
+			return base + i
 		}
 	}
 	return -1
 }
 
-// victim returns the replacement way for a miss: the first invalid slot if
-// any, otherwise the least-recently-used line (strict <, walk order breaks
-// ties — the same choice the pre-split single-pass lookup made).
-func (s *cacheSet) victim() int {
+// victim returns the flat index of the replacement way for a miss in the
+// set starting at base: the first empty way if any, otherwise the
+// least-recently-used line (strict <, walk order breaks ties).
+func (c *Cache) victim(base int) int {
 	v := -1
 	var vlru uint64
-	for i := range s.meta {
-		m := &s.meta[i]
-		if m.state == lineInvalid {
-			return i
+	for w := base; w < base+c.ways; w++ {
+		if c.addrs[w] == invalidAddr {
+			return w
 		}
-		if v < 0 || m.lru < vlru {
-			v, vlru = i, m.lru
+		if v < 0 || c.lru[w] < vlru {
+			v, vlru = w, c.lru[w]
 		}
 	}
 	return v

@@ -32,7 +32,11 @@ type deviceChunk [deviceChunkBytes]byte
 type Device struct {
 	size   uint64
 	chunks []atomic.Pointer[deviceChunk]
-	stats  Stats
+	// The pad starts stats on its own host cache line: size and chunks are
+	// read by every worker on each device access, while the first stats
+	// shard is written by worker 0 and by every anonymous clock.
+	_     [32]byte
+	stats Stats
 }
 
 // NewDevice creates a zeroed device of the given size, rounded up to a

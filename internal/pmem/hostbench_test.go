@@ -62,3 +62,37 @@ func BenchmarkHostStore64Hit(b *testing.B) {
 		sys.Space.Write(clk, uint64(i*64)%(1<<20), buf)
 	}
 }
+
+// BenchmarkCacheLoad1K and BenchmarkCacheStore1K are the pmem rungs of the
+// host-cost ladder for the engine's hit path: 1 KiB accesses (16 lines, one
+// tuple) cycling over a 1 MiB working set that stays resident in the 2 MiB
+// simulated cache.
+func BenchmarkCacheLoad1K(b *testing.B) {
+	sys := hostbenchSystem()
+	clk := sim.NewClock()
+	buf := make([]byte, 1024)
+	for a := uint64(0); a < 1<<20; a += 1024 {
+		sys.Space.Read(clk, a, buf) // warm
+	}
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Space.Read(clk, uint64(i*1024)%(1<<20), buf)
+	}
+}
+
+func BenchmarkCacheStore1K(b *testing.B) {
+	sys := hostbenchSystem()
+	clk := sim.NewClock()
+	buf := make([]byte, 1024)
+	for a := uint64(0); a < 1<<20; a += 1024 {
+		sys.Space.Write(clk, a, buf) // warm
+	}
+	b.ReportAllocs()
+	b.SetBytes(1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Space.Write(clk, uint64(i*1024)%(1<<20), buf)
+	}
+}

@@ -131,6 +131,14 @@ type Window struct {
 	// across Begin/Commit/appendOp/ReadOp because the window is single-owner
 	// like the rest of its state.
 	scratch [40]byte
+	// opData backs the Data of every Op that ReadOp returns, so the
+	// per-commit apply path reads the write set back without allocating.
+	// Single-owner like scratch.
+	opData []byte
+	// log is the window's one transaction log, handed out by every Begin:
+	// the window holds a single open record at a time, so the previous log
+	// is dead once Begin is called again.
+	log TxnLog
 	// board, when set, enables group commit: Publish enlists records into
 	// durability epochs on it and GroupWait backpressures slot reclaims
 	// against unsealed epochs. slotEpoch mirrors, per slot, the epoch of the
@@ -227,7 +235,8 @@ func (w *Window) ovfOff(i int) uint64 {
 // the given TID. Claiming overwrites the previous record in that slot, which
 // is safe: any transaction K slots back is either aborted or committed with
 // all its updates already durable (persistent cache), so its log is dead
-// (§4.2 "lifetime of logs").
+// (§4.2 "lifetime of logs"). The returned log is owned by the window and
+// reused by the next Begin, which ends the previous log's use.
 func (w *Window) Begin(clk *sim.Clock, tid uint64) *TxnLog {
 	i := w.cur
 	w.cur = (w.cur + 1) % w.cfg.Slots
@@ -246,7 +255,8 @@ func (w *Window) Begin(clk *sim.Clock, tid uint64) *TxnLog {
 	if w.slotEpoch != nil {
 		w.slotEpoch[i] = 0 // the previous record's epoch was sealed by GroupWait
 	}
-	l := &TxnLog{w: w, slot: i, pos: hdrBytes}
+	l := &w.log
+	*l = TxnLog{w: w, slot: i, pos: hdrBytes}
 	hdr := w.scratch[:32]
 	for b := range hdr {
 		hdr[b] = 0
@@ -506,11 +516,16 @@ type Op struct {
 
 // ReadOp reads back the op at logical record offset pos (as returned during
 // execution) — used by the engine at apply time, reading the write set from
-// the window (cache hits).
+// the window (cache hits). It returns the op and the offset of the next one.
+//
+// The returned Op.Data aliases a buffer owned by the window: it is valid
+// only until the next ReadOp on any log of the same window, which
+// overwrites it. Callers copy out what they need to keep.
 func (l *TxnLog) ReadOp(clk *sim.Clock, pos int) (Op, int) {
 	r := recordReader{space: l.w.space, slotOff: l.w.slotOff(l.slot), ovfOff: l.w.ovfOff(l.slot),
-		slotCap: l.w.cfg.SlotBytes - hdrBytes, scratch: &l.w.scratch}
-	return r.readOp(clk, pos)
+		slotCap: l.w.cfg.SlotBytes - hdrBytes, scratch: &l.w.scratch, data: &l.w.opData}
+	op, pos, _ := r.readOpBounded(clk, pos, 1<<31-1)
+	return op, pos
 }
 
 // Record is one recovered transaction record.
@@ -536,6 +551,10 @@ type recordReader struct {
 	// scratch receives op headers; the caller provides a long-lived buffer
 	// so each parsed op does not heap-allocate one (see Window.scratch).
 	scratch *[40]byte
+	// data, when non-nil, is a reusable buffer that receives op payloads
+	// (grown as needed), so each Op.Data aliases it. When nil every op gets
+	// a fresh payload — recovery keeps the ops of many records at once.
+	data *[]byte
 }
 
 func (r recordReader) read(clk *sim.Clock, pos int, dst []byte) {
@@ -557,11 +576,6 @@ func (r recordReader) read(clk *sim.Clock, pos int, dst []byte) {
 	if r.crc != nil {
 		*r.crc = crc32.Update(*r.crc, crc32.IEEETable, full)
 	}
-}
-
-func (r recordReader) readOp(clk *sim.Clock, pos int) (Op, int) {
-	op, pos, _ := r.readOpBounded(clk, pos, 1<<31-1)
-	return op, pos
 }
 
 // readOpBounded parses one op, refusing (ok=false) any header or payload
@@ -586,7 +600,14 @@ func (r recordReader) readOpBounded(clk *sim.Clock, pos, limit int) (op Op, next
 		if pos+dataLen > limit {
 			return Op{}, pos, false
 		}
-		op.Data = make([]byte, dataLen)
+		if r.data == nil {
+			op.Data = make([]byte, dataLen)
+		} else {
+			if cap(*r.data) < dataLen {
+				*r.data = make([]byte, dataLen)
+			}
+			op.Data = (*r.data)[:dataLen]
+		}
 		r.read(clk, pos, op.Data)
 		pos += dataLen
 	}

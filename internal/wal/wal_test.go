@@ -195,6 +195,27 @@ func TestReadOpDuringExecution(t *testing.T) {
 	}
 }
 
+// TestReadOpReusesWindowBuffer pins ReadOp's aliasing contract: the
+// returned Data lives in a window-owned buffer that the next ReadOp
+// overwrites, and reading back ops allocates nothing once that buffer has
+// grown to the largest payload.
+func TestReadOpReusesWindowBuffer(t *testing.T) {
+	w, _ := newTestWindow(Config{Slots: 2, SlotBytes: 512})
+	clk := sim.NewClock()
+	l := w.Begin(clk, 3)
+	l.AppendUpdate(clk, 4, 10, 20, 0, []byte("first"))
+	next := l.AppendUpdate(clk, 4, 11, 21, 0, []byte("other"))
+
+	op0, _ := l.ReadOp(clk, 0)
+	l.ReadOp(clk, next)
+	if !bytes.Equal(op0.Data, []byte("other")) {
+		t.Fatalf("first op's Data = %q after a second ReadOp, want it overwritten with %q", op0.Data, "other")
+	}
+	if n := testing.AllocsPerRun(100, func() { l.ReadOp(clk, next) }); n != 0 {
+		t.Fatalf("ReadOp allocates %v times per call, want 0", n)
+	}
+}
+
 func TestSmallWindowStaysCacheResident(t *testing.T) {
 	// Run many transactions through a window while touching a large data
 	// region; the window lines must mostly stay cached (few media writes
