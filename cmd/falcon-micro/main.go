@@ -70,7 +70,7 @@ func run(writes, size int, region uint64, clwb bool, topt *obs.TraceOptions) (fl
 	if topt != nil {
 		tr = obs.NewTracer(1, *topt)
 		pt.AttachTrace(tr.Worker(0)) // after Start: Start clears the trace hook
-		sys.SetTrace(tr.PmemTrace)
+		sys.SetHook(obs.PmemHook(tr, nil))
 	}
 	pt.To(obs.PhaseHeapWrite)
 	// xorshift for the random aligned addresses (the paper's setup).

@@ -133,7 +133,7 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 			tx.applyInsert(a.ins)
 			markTouched(a.ins.t, a.ins.slot)
 			tx.tstat(a.ins.t).Writes++
-			tx.cw.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
+			tx.probe.LogicalBytes(uint64(a.ins.t.id), uint64(a.ins.t.schema.TupleSize()))
 			continue
 		}
 		w := a.w
@@ -142,7 +142,7 @@ func (tx *Txn) applyWriteSet() []applyEntry {
 			op, _ := tx.log.ReadOp(tx.clk, w.logPos)
 			w.t.heap.WriteRange(tx.clk, w.slot, w.off, op.Data)
 			markTouched(w.t, w.slot)
-			tx.cw.LogicalBytes(uint64(w.t.id), uint64(w.n))
+			tx.probe.LogicalBytes(uint64(w.t.id), uint64(w.n))
 		case wal.OpDelete:
 			tx.applyDelete(w)
 		}
@@ -264,8 +264,8 @@ func (tx *Txn) selectiveFlush(apply []applyEntry) {
 		t.heap.CLWBSlot(tx.clk, slot, off, n)
 		flushed++
 	}
-	if tx.tr != nil && flushed+elided > 0 {
-		tx.tr.Span(obs.EvFlushTrain, flushStart, tx.clk.Nanos(), flushed, elided)
+	if tx.probe.WorkerTracer != nil && flushed+elided > 0 {
+		tx.probe.Span(obs.EvFlushTrain, flushStart, tx.clk.Nanos(), flushed, elided)
 	}
 }
 
@@ -493,13 +493,13 @@ func (tx *Txn) finish(committed bool) {
 		}
 	}
 	tx.pt.Finish()
-	if tx.tr != nil {
+	if tx.probe.WorkerTracer != nil {
 		reason := -1
 		if !committed {
 			reason = int(tx.cause)
 		}
-		tx.tr.TxnEnd(tx.clk.Nanos(), reason)
-		tx.tr = nil
+		tx.probe.TxnEnd(tx.clk.Nanos(), reason)
+		tx.probe.WorkerTracer = nil
 	}
 	tx.done = true
 }
@@ -632,6 +632,6 @@ func (tx *Txn) readSlot(t *Table, key, slot uint64, dst []byte) error {
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	tx.tstat(t).Reads++
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 	return tx.readResolved(t, key, slot, 0, t.schema.TupleSize(), dst)
 }

@@ -19,8 +19,9 @@ const contendHotKey = 3
 
 // newContendEngine builds a preloaded kv engine with the contention
 // observatory armed: 256 keys inserted in free-running mode, clocks and
-// counters reset, then SetContend while quiescent.
-func newContendEngine(t *testing.T, cfg Config) *Engine {
+// counters reset, then Arm while quiescent. It returns the engine and the
+// armed observatory.
+func newContendEngine(t *testing.T, cfg Config) (*Engine, *obs.Observatory) {
 	t.Helper()
 	e := newKVEngine(t, cfg)
 	tbl := e.Table("kv")
@@ -34,8 +35,9 @@ func newContendEngine(t *testing.T, cfg Config) *Engine {
 	}
 	e.ResetClocks()
 	e.ResetCounters()
-	e.SetContend(e.NewObservatory())
-	return e
+	o := e.NewObservatory()
+	e.Arm(nil, o)
+	return e, o
 }
 
 // contendHotKeyLoop is one worker's share of the planted-hot-key workload:
@@ -108,7 +110,7 @@ func TestContendPlantedHotKeyAllCC(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			cfg := FalconConfig()
 			cfg.CC = algo
-			e := newContendEngine(t, cfg)
+			e, o := newContendEngine(t, cfg)
 			// A fully serialized host schedule can dodge conflicts; the
 			// observatory accumulates, so re-run until contention appears.
 			for round := 0; round < 3; round++ {
@@ -121,12 +123,12 @@ func TestContendPlantedHotKeyAllCC(t *testing.T) {
 					}(w)
 				}
 				wg.Wait()
-				if e.Contend().Report().TotalConflicts() > 0 {
+				if o.Report().TotalConflicts() > 0 {
 					break
 				}
 			}
-			checkHotKeyReport(t, e.Contend().Report())
-			e.SetContend(nil)
+			checkHotKeyReport(t, o.Report())
+			e.Arm(nil, nil)
 		})
 	}
 }
@@ -140,7 +142,7 @@ func contendGroupReport(t *testing.T, algo cc.Algo, procs int) ([]byte, *obs.Con
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	cfg := FalconConfig()
 	cfg.CC = algo
-	e := newContendEngine(t, cfg)
+	e, o := newContendEngine(t, cfg)
 	const workers = 4
 	e.EnterGroup()
 	e.Group().Begin(workers)
@@ -155,12 +157,12 @@ func contendGroupReport(t *testing.T, algo cc.Algo, procs int) ([]byte, *obs.Con
 	}
 	wg.Wait()
 	e.LeaveGroup()
-	rep := e.Contend().Report()
+	rep := o.Report()
 	b, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetContend(nil)
+	e.Arm(nil, nil)
 	return b, rep
 }
 
@@ -184,13 +186,15 @@ func TestContendGroupModeDeterministicAllCC(t *testing.T) {
 
 // TestContendDisarmedOverhead gates the nil-pointer degradation cost: an
 // engine that was armed and then disarmed must run within 2% of one that
-// was never armed. Host-time measurement, so it interleaves min-of-N rounds
-// (min damps scheduler noise) and retries before failing.
+// was never armed. It checks two arming histories: the observatory alone,
+// and the tracer and observatory together. Host-time measurement, so it
+// interleaves min-of-N rounds (min damps scheduler noise) and retries
+// before failing.
 func TestContendDisarmedOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("host-time gate; skipped under -short")
 	}
-	build := func(arm bool) *Engine {
+	build := func(arm func(e *Engine)) *Engine {
 		e := newKVEngine(t, FalconConfig())
 		tbl := e.Table("kv")
 		s := tbl.Schema()
@@ -201,9 +205,9 @@ func TestContendDisarmedOverhead(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if arm {
-			e.SetContend(e.NewObservatory())
-			e.SetContend(nil) // the disarmed state under test
+		if arm != nil {
+			arm(e)
+			e.Arm(nil, nil) // the disarmed state under test
 		}
 		return e
 	}
@@ -219,28 +223,41 @@ func TestContendDisarmedOverhead(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	never, disarmed := build(false), build(true)
-	const txns, rounds, attempts = 4000, 6, 5
-	measure(never, txns) // warm both paths before timing
-	measure(disarmed, txns)
-	worst := 0.0
-	for a := 0; a < attempts; a++ {
-		minNever, minDisarmed := time.Duration(1<<62), time.Duration(1<<62)
-		for r := 0; r < rounds; r++ {
-			if d := measure(never, txns); d < minNever {
-				minNever = d
-			}
-			if d := measure(disarmed, txns); d < minDisarmed {
-				minDisarmed = d
-			}
-		}
-		ratio := float64(minDisarmed) / float64(minNever)
-		if ratio <= 1.02 {
-			return
-		}
-		if ratio > worst {
-			worst = ratio
-		}
+	inputs := []struct {
+		name string
+		arm  func(e *Engine)
+	}{
+		{"contend", func(e *Engine) { e.Arm(nil, e.NewObservatory()) }},
+		{"trace+contend", func(e *Engine) {
+			e.Arm(obs.NewTracer(e.Config().Threads, obs.TraceOptions{}), e.NewObservatory())
+		}},
 	}
-	t.Errorf("disarmed observatory costs %.1f%% over never-armed (gate: 2%%)", (worst-1)*100)
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			never, disarmed := build(nil), build(in.arm)
+			const txns, rounds, attempts = 4000, 6, 5
+			measure(never, txns) // warm both paths before timing
+			measure(disarmed, txns)
+			worst := 0.0
+			for a := 0; a < attempts; a++ {
+				minNever, minDisarmed := time.Duration(1<<62), time.Duration(1<<62)
+				for r := 0; r < rounds; r++ {
+					if d := measure(never, txns); d < minNever {
+						minNever = d
+					}
+					if d := measure(disarmed, txns); d < minDisarmed {
+						minDisarmed = d
+					}
+				}
+				ratio := float64(minDisarmed) / float64(minNever)
+				if ratio <= 1.02 {
+					return
+				}
+				if ratio > worst {
+					worst = ratio
+				}
+			}
+			t.Errorf("disarmed %s costs %.1f%% over never-armed (gate: 2%%)", in.name, (worst-1)*100)
+		})
+	}
 }

@@ -362,7 +362,7 @@ func (tx *Txn) commitDet() error {
 // worker) order. See the package comment at the top of this file.
 func (e *Engine) detReplay(atts []*sim.Attempt) {
 	d := e.det
-	e.contendObs.BarrierTick()
+	e.observatory.BarrierTick()
 	for k := range d.wrote {
 		delete(d.wrote, k)
 	}

@@ -11,7 +11,6 @@ import (
 	"falcon/internal/index"
 	"falcon/internal/layout"
 	"falcon/internal/obs"
-	"falcon/internal/obs/contend"
 	"falcon/internal/pmem"
 	"falcon/internal/sim"
 	"falcon/internal/version"
@@ -75,16 +74,12 @@ type Engine struct {
 	// tstats holds per-worker × per-table activity counters (single-owner
 	// rows, summed by the "tables" collector at snapshot time).
 	tstats [][]paddedTableStats
-	// tracer/tracerW arm transaction-level trace capture (SetTracer). Both
-	// are nil in the common unarmed case, so the commit path pays only
-	// nil pointer tests.
-	tracer  *obs.Tracer
-	tracerW []*obs.WorkerTracer
-	// contendObs/contendW arm the contention & flush-amplification
-	// observatory (SetContend). Both are nil in the common unarmed case, so
-	// the instrumented sites pay only nil pointer tests.
-	contendObs *contend.Observatory
-	contendW   []*contend.Worker
+	// probes holds each worker's instrumentation handle while a tracer or
+	// the contention observatory is armed (Arm); observatory is the armed
+	// observatory. Both are nil in the common unarmed case, so the
+	// instrumented sites pay only nil pointer tests.
+	probes      []obs.Probe
+	observatory *obs.Observatory
 	// recPhases holds the recovery-path phase accounting when this engine
 	// was produced by Recover (nil for freshly created engines).
 	recPhases *obs.PhaseSet
@@ -272,8 +267,8 @@ func (e *Engine) initObs() {
 		}
 	})
 	e.reg.Register("contend", func(s *obs.Snapshot) {
-		if e.contendObs != nil {
-			s.Contend = e.contendObs.Report()
+		if e.observatory != nil {
+			s.Contend = e.observatory.Report()
 		}
 	})
 	e.reg.Register("tables", func(s *obs.Snapshot) {
@@ -313,40 +308,27 @@ func (e *Engine) addTable(t *Table) {
 	}
 }
 
-// SetTracer arms transaction-level trace capture on the engine: worker w's
-// trace events route to tr.Worker(w), the WAL windows report slot claims,
-// and the pmem system reports XPBuffer evictions. Pass nil to disarm. Must
-// be called while no transactions are in flight (between benchmark phases) —
-// the same quiescence contract as ResetCounters.
-func (e *Engine) SetTracer(tr *obs.Tracer) {
-	e.tracer = tr
-	if tr == nil {
-		e.tracerW = nil
-		for _, w := range e.windows {
-			w.SetTrace(nil)
-		}
-		for _, cw := range e.contendW {
-			cw.SetTracer(nil)
-		}
-		e.sys.SetTrace(nil)
-		return
-	}
-	e.tracerW = make([]*obs.WorkerTracer, e.cfg.Threads)
-	for i := range e.tracerW {
-		e.tracerW[i] = tr.Worker(i)
+// Arm attaches the instrumentation consumers: tr captures transaction-level
+// traces (worker w's events route to tr.Worker(w)) and o attributes
+// contention and flush traffic (worker w's events route to o.Worker(w)).
+// Either may be nil; Arm(nil, nil) disarms both. Every worker's transactions
+// and log window get one probe holding both, and the pmem system one hook
+// feeding both. Must be called while no transactions are in flight (between
+// benchmark phases) — the same quiescence contract as ResetCounters.
+func (e *Engine) Arm(tr *obs.Tracer, o *obs.Observatory) {
+	e.probes, e.observatory = nil, o
+	if tr != nil || o != nil {
+		e.probes = make([]obs.Probe, e.cfg.Threads)
 	}
 	for i, w := range e.windows {
-		w.SetTrace(tr.Worker(i))
-		// The observatory's exemplar capture rides on the worker tracers.
-		if e.contendW != nil {
-			e.contendW[i].SetTracer(e.tracerW[i])
+		p := obs.Probe{WorkerTracer: tr.Worker(i), ContendShard: o.Worker(i)}
+		if e.probes != nil {
+			e.probes[i] = p
 		}
+		w.SetProbe(p)
 	}
-	e.sys.SetTrace(tr.PmemTrace)
+	e.sys.SetHook(obs.PmemHook(tr, o))
 }
-
-// Tracer returns the armed tracer, or nil.
-func (e *Engine) Tracer() *obs.Tracer { return e.tracer }
 
 // LogWindowRange returns the NVM address range [base, base+size) holding all
 // threads' log windows — the region fault plans target for corruption

@@ -109,7 +109,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 		}
 		for _, w := range g.ops {
 			copy(scratch[w.off:w.off+w.n], w.data)
-			tx.cw.LogicalBytes(uint64(g.t.id), uint64(w.n))
+			tx.probe.LogicalBytes(uint64(g.t.id), uint64(w.n))
 		}
 		if g.t.secondary != nil {
 			g.newSec = g.t.schema.GetUint64(scratch, g.t.secondaryCol)
@@ -152,7 +152,7 @@ func (tx *Txn) commitOutOfPlaceTail() error {
 	for i := range tx.inserts {
 		ins := &tx.inserts[i]
 		tx.tstat(ins.t).Writes++
-		tx.cw.LogicalBytes(uint64(ins.t.id), uint64(ins.t.schema.TupleSize()))
+		tx.probe.LogicalBytes(uint64(ins.t.id), uint64(ins.t.schema.TupleSize()))
 		// Same publish order as above: occupied flag last.
 		ins.t.heap.WritePayload(tx.clk, ins.slot, ins.data)
 		ins.t.heap.WriteTS(tx.clk, ins.slot, tx.tid)

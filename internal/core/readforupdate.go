@@ -24,7 +24,7 @@ func (tx *Txn) readForUpdate(t *Table, key uint64, off, n int, dst []byte) error
 	if tx.ro {
 		return ErrReadOnly
 	}
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
 		tx.copyPending(ins.t, ins.data, ins.logPos, off, n, dst)
 		tx.overlayOwnWrites(t, ins.slot, off, n, dst)

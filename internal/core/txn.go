@@ -8,7 +8,6 @@ import (
 	"falcon/internal/cc"
 	"falcon/internal/heap"
 	"falcon/internal/obs"
-	"falcon/internal/obs/contend"
 	"falcon/internal/sim"
 	"falcon/internal/wal"
 )
@@ -54,12 +53,10 @@ type Txn struct {
 	pt       obs.PhaseTimer
 	cause    obs.AbortReason
 	causeSet bool
-	// tr is this worker's trace sink while the engine's tracer is armed
-	// (nil otherwise — the instrumented sites pay one pointer test).
-	tr *obs.WorkerTracer
-	// cw is this worker's contention-observatory shard while armed (nil
-	// otherwise — same one-pointer-test discipline as tr).
-	cw *contend.Worker
+	// probe is this worker's instrumentation handle while the engine is
+	// armed (see Engine.Arm): its tracer and contention shard are nil when
+	// disarmed, so the instrumented sites pay one pointer test.
+	probe obs.Probe
 	// dt is the deterministic group-mode state (nil in free-running mode —
 	// the instrumented sites pay one pointer test). See det.go.
 	dt *detTxn
@@ -208,13 +205,10 @@ func (e *Engine) beginTxn(tx *Txn, worker int, ro bool) *Txn {
 	// Start the phase timer before charging the begin overhead so the phases
 	// partition every transactional nanosecond (the overhead lands in exec).
 	tx.pt.Start(&e.phases[worker], clk)
-	if e.tracerW != nil {
-		tx.tr = e.tracerW[worker]
-		tx.tr.TxnBegin(tid, clk.Nanos())
-		tx.pt.AttachTrace(tx.tr)
-	}
-	if e.contendW != nil {
-		tx.cw = e.contendW[worker]
+	if e.probes != nil {
+		tx.probe = e.probes[worker]
+		tx.probe.TxnBegin(tid, clk.Nanos())
+		tx.pt.AttachTrace(tx.probe.WorkerTracer)
 	}
 	clk.Advance(e.sys.Cost().TxnOverhead)
 	if e.cfg.Update == InPlace && !ro {
@@ -282,7 +276,7 @@ func (tx *Txn) read(t *Table, key uint64, off, n int, dst []byte) error {
 	}
 	tx.clk.Advance(tx.e.sys.Cost().OpOverhead)
 	tx.tstat(t).Reads++
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 
 	// Read-your-own-insert.
 	if ins := tx.findInsert(t, key); ins != nil {
@@ -447,7 +441,7 @@ func (tx *Txn) readPayload(t *Table, key uint64, slot uint64, off, n int, dst []
 // finish (its chain only covers older intervals), so the loop spins briefly
 // in that case — writers hold tuples only across the short apply phase.
 func (tx *Txn) snapshotReadSlot(t *Table, key, slot uint64, off, n int, dst []byte) error {
-	if tx.tr == nil && tx.cw == nil {
+	if tx.probe == (obs.Probe{}) {
 		return tx.snapshotReadSlotSpin(t, slot, off, n, dst, nil)
 	}
 	// Traced or observed: if the read had to spin behind a mid-apply writer,
@@ -458,17 +452,16 @@ func (tx *Txn) snapshotReadSlot(t *Table, key, slot uint64, off, n int, dst []by
 	err := tx.snapshotReadSlotSpin(t, slot, off, n, dst, &spins)
 	if spins > 0 {
 		now := tx.clk.Nanos()
-		if tx.tr != nil {
-			tx.tr.Span(obs.EvLockWait, start, now, slot, spins)
-		}
-		if tx.cw != nil {
+		// The span first, so the conflict's exemplar captures it.
+		tx.probe.Span(obs.EvLockWait, start, now, slot, spins)
+		if tx.probe.ContendShard != nil {
 			// The word now carries the writer we waited behind.
 			lock, _ := t.heap.Meta(slot)
 			holder := -1
 			if h := cc.HolderTID(tx.e.cfg.CC, lock.Load()); h != 0 {
 				holder = cc.TIDWorker(h)
 			}
-			tx.cw.Conflict(int(t.id), key, slot, obs.ConflictSpinWait, holder, now-start, now)
+			tx.probe.Conflict(int(t.id), key, slot, obs.ConflictSpinWait, holder, now-start, now)
 		}
 	}
 	return err
@@ -539,7 +532,7 @@ func (tx *Txn) Update(t *Table, key uint64, off int, data []byte) error {
 		return ErrReadOnly
 	}
 
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 	if ins := tx.findInsert(t, key); ins != nil {
 		return tx.updatePendingInsert(ins, off, data)
 	}
@@ -568,7 +561,7 @@ func (tx *Txn) Delete(t *Table, key uint64) error {
 	if tx.ro {
 		return ErrReadOnly
 	}
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 	slot, ok := tx.resolve(t, key)
 	if !ok {
 		return ErrNotFound
@@ -594,7 +587,7 @@ func (tx *Txn) Insert(t *Table, key uint64, payload []byte) error {
 	if tx.ro {
 		return ErrReadOnly
 	}
-	tx.cw.Touch(int(t.id), key)
+	tx.probe.Touch(int(t.id), key)
 	if tx.findInsert(t, key) != nil {
 		return ErrDuplicateKey
 	}

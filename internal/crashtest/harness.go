@@ -369,7 +369,7 @@ func runSeed(cell Cell, opts Options, seed uint64, counts [pmem.NumFaultEvents]u
 	var tracer *obs.Tracer
 	if opts.TraceDir != "" {
 		tracer = obs.NewTracer(cellThreads, obs.TraceOptions{Sample: 1})
-		e.SetTracer(tracer)
+		e.Arm(tracer, nil)
 	}
 	plan = planForSeed(cell, seed, counts, winBase, winSize)
 	if plan == nil {

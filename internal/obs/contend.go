@@ -1,20 +1,20 @@
-// Package contend is the contention & flush-amplification observatory: a
-// sharded, allocation-free event layer the concurrency-control paths, the
-// WAL, and the simulated memory system report into while armed.
+package obs
+
+// The contention & flush-amplification observatory: a sharded,
+// allocation-free event layer the concurrency-control paths, the WAL, and
+// the simulated memory system report into while armed.
 //
 // Like every accumulator in this codebase the recorder follows the
-// single-owner discipline: one Worker per worker goroutine, written only by
-// its owner, merged into a canonical report while the workers are quiescent.
-// In deterministic group mode every recorded quantity derives from
-// virtual-time state, so the merged report is byte-identical across host
-// schedules and GOMAXPROCS settings.
-package contend
+// single-owner discipline: one ContendShard per worker goroutine, written
+// only by its owner (through the worker's Probe), merged into a canonical
+// report while the workers are quiescent. In deterministic group mode every
+// recorded quantity derives from virtual-time state, so the merged report
+// is byte-identical across host schedules and GOMAXPROCS settings.
 
 import (
 	"math/bits"
 	"sort"
 
-	"falcon/internal/obs"
 	"falcon/internal/pmem"
 )
 
@@ -30,8 +30,8 @@ const (
 	heatMask = 1<<heatBits - 1
 )
 
-// Config describes the engine the observatory attaches to.
-type Config struct {
+// ContendConfig describes the engine the observatory attaches to.
+type ContendConfig struct {
 	// Workers is the worker-goroutine count (one recorder shard each).
 	Workers int
 	// Algo names the CC algorithm, repeated on every attribution row.
@@ -51,25 +51,26 @@ type rangeEntry struct {
 // Observatory owns the per-worker recorders and the address-range map that
 // attributes flush traffic to tables. Construction and AddRange happen
 // before arming; after that the struct is immutable except through the
-// single-owner Worker shards and the barrier-serialized round counter.
+// single-owner shards and the barrier-serialized round counter.
 type Observatory struct {
-	cfg     Config
+	cfg     ContendConfig
 	ranges  []rangeEntry
 	cells   []string // flush-amp cell names, in registration order
-	workers []Worker
+	workers []ContendShard
 	// rounds counts deterministic group-scheduler replay barriers. The
 	// barrier body is mutually exclusive and ordered (the same contract that
 	// lets applyWriteSet run there), so a plain counter suffices.
 	rounds uint64
 }
 
-// New builds an observatory for cfg. Worker counts below 1 are clamped so
-// anonymous (setup/recovery) clocks always have a shard to land on.
-func New(cfg Config) *Observatory {
+// NewObservatory builds an observatory for cfg. Worker counts below 1 are
+// clamped so anonymous (setup/recovery) clocks always have a shard to land
+// on.
+func NewObservatory(cfg ContendConfig) *Observatory {
 	if cfg.Workers < 1 {
 		cfg.Workers = 1
 	}
-	o := &Observatory{cfg: cfg, workers: make([]Worker, cfg.Workers)}
+	o := &Observatory{cfg: cfg, workers: make([]ContendShard, cfg.Workers)}
 	for i := range o.workers {
 		w := &o.workers[i]
 		w.o = o
@@ -77,8 +78,8 @@ func New(cfg Config) *Observatory {
 		w.conflicts = make([][]uint64, len(cfg.Tables))
 		w.waits = make([][]uint64, len(cfg.Tables))
 		for t := range cfg.Tables {
-			w.conflicts[t] = make([]uint64, obs.NumPopBuckets*obs.NumConflictKinds)
-			w.waits[t] = make([]uint64, obs.NumPopBuckets*obs.NumConflictKinds)
+			w.conflicts[t] = make([]uint64, NumPopBuckets*NumConflictKinds)
+			w.waits[t] = make([]uint64, NumPopBuckets*NumConflictKinds)
 		}
 		w.pop = make([]uint32, 1<<popSketchBits)
 		w.lockHeat = make([]uint64, 1<<heatBits)
@@ -115,9 +116,9 @@ func (o *Observatory) AddRange(name string, lo, hi uint64) {
 	o.ranges = append(o.ranges, rangeEntry{lo: lo, hi: hi, cell: cell})
 }
 
-// Worker returns shard i's recorder (nil when out of range, mirroring
-// Tracer.Worker so callers arm exactly the workers they have).
-func (o *Observatory) Worker(i int) *Worker {
+// Worker returns shard i's recorder (nil when out of range or o is nil,
+// mirroring Tracer.Worker so callers arm exactly the workers they have).
+func (o *Observatory) Worker(i int) *ContendShard {
 	if o == nil || i < 0 || i >= len(o.workers) {
 		return nil
 	}
@@ -132,10 +133,11 @@ func (o *Observatory) BarrierTick() {
 	}
 }
 
-// PmemContend matches pmem.ContendFn: it routes the flush event to the
-// causing clock's shard, attributes the address to a registered range, and
-// feeds the flush heat ring and the XPBuffer set-contention counters.
-func (o *Observatory) PmemContend(shard uint64, kind pmem.ContendKind, addr uint64) {
+// PmemEvent is the observatory's half of the pmem hook (see PmemHook): it
+// routes the flush event to the causing clock's shard, attributes the
+// address to a registered range, and feeds the flush heat ring and the
+// XPBuffer set-contention counters.
+func (o *Observatory) PmemEvent(shard uint64, kind pmem.EventKind, addr, _, _ uint64) {
 	if o == nil {
 		return
 	}
@@ -150,7 +152,7 @@ func (o *Observatory) PmemContend(shard uint64, kind pmem.ContendKind, addr uint
 		}
 	}
 	w.flushHeat[mixAddr(addr/pmem.LineSize)&heatMask]++
-	if (kind == pmem.ContendXPEvictFull || kind == pmem.ContendXPEvictPartial) && len(w.bankEv) > 0 {
+	if (kind == pmem.EvXPEvictFull || kind == pmem.EvXPEvictPartial) && len(w.bankEv) > 0 {
 		w.bankEv[(addr/pmem.BlockSize)%uint64(len(w.bankEv))]++
 	}
 }
@@ -167,17 +169,15 @@ type waitEdge struct {
 // exEntry is the slowest-transaction exemplar for one attribution bucket.
 type exEntry struct {
 	dur uint64
-	ex  obs.Exemplar
+	ex  Exemplar
 }
 
-// Worker is one shard of the observatory. All methods are nil-receiver safe
-// and allocation-free on the counting paths; only exemplar admission (rare,
-// tracer-armed only) copies span stacks.
-type Worker struct {
+// ContendShard is one worker's shard of the observatory. All methods are
+// nil-receiver safe and allocation-free on the counting paths; only
+// exemplar admission (rare, tracer-armed only) copies span stacks.
+type ContendShard struct {
 	o  *Observatory
 	id int
-	// tr, when set, provides mid-transaction exemplar capture.
-	tr *obs.WorkerTracer
 	// conflicts/waits are dense counters indexed [table][pop*K+kind].
 	conflicts [][]uint64
 	waits     [][]uint64
@@ -187,7 +187,7 @@ type Worker struct {
 	lockHeat, verHeat, flushHeat []uint64
 	// edges[h] accumulates conflicts this worker suffered against holder h.
 	edges []waitEdge
-	// flush[cell][pmem.ContendKind] counts attributed writeback events;
+	// flush[cell][pmem.EventKind] counts attributed writeback events;
 	// logical[table] counts committed write-set payload bytes.
 	flush   [][5]uint64
 	logical []uint64
@@ -199,13 +199,6 @@ type Worker struct {
 	ex map[uint32]*exEntry
 	// pad keeps adjacent workers' hot state off one cache line.
 	_ [4]uint64
-}
-
-// SetTracer attaches the worker's tracer for exemplar capture (nil detaches).
-func (w *Worker) SetTracer(tr *obs.WorkerTracer) {
-	if w != nil {
-		w.tr = tr
-	}
 }
 
 // mix is a splitmix64-style finalizer over (table, key) — the deterministic
@@ -223,7 +216,7 @@ func mix(table int, k uint64) uint64 {
 func mixAddr(a uint64) uint64 { return mix(0, a) }
 
 // Touch feeds the popularity sketch: one access to key in table.
-func (w *Worker) Touch(table int, key uint64) {
+func (w *ContendShard) Touch(table int, key uint64) {
 	if w == nil {
 		return
 	}
@@ -235,29 +228,29 @@ func (w *Worker) Touch(table int, key uint64) {
 
 // popBucket returns the log2 popularity bucket of key: 0 = never touched by
 // this worker, i = touched [2^(i-1), 2^i) times.
-func (w *Worker) popBucket(table int, key uint64) int {
+func (w *ContendShard) popBucket(table int, key uint64) int {
 	b := bits.Len32(w.pop[mix(table, key)&popMask])
-	if b >= obs.NumPopBuckets {
-		b = obs.NumPopBuckets - 1
+	if b >= NumPopBuckets {
+		b = NumPopBuckets - 1
 	}
 	return b
 }
 
-// Conflict records one contention event: kind against (table, key) at heap
-// slot, attributed to the holder worker (-1 when unknown), with waitNanos of
-// virtual stall (0 for pure abort-and-retry kinds) at virtual time now.
-func (w *Worker) Conflict(table int, key, slot uint64, kind obs.ConflictKind, holder int, waitNanos, now uint64) {
+// conflict records one contention event (see Probe.Conflict); tr, when
+// non-nil, is the worker's tracer, whose open transaction becomes the
+// bucket's exemplar if it is the slowest seen.
+func (w *ContendShard) conflict(tr *WorkerTracer, table int, key, slot uint64, kind ConflictKind, holder int, waitNanos, now uint64) {
 	if w == nil || table < 0 || table >= len(w.conflicts) {
 		return
 	}
 	pop := w.popBucket(table, key)
-	idx := pop*obs.NumConflictKinds + int(kind)
+	idx := pop*NumConflictKinds + int(kind)
 	w.conflicts[table][idx]++
 	w.waits[table][idx] += waitNanos
 
 	h := mix(table, key) & heatMask
 	switch kind {
-	case obs.ConflictLockFail, obs.ConflictUpgrade, obs.ConflictSpinWait:
+	case ConflictLockFail, ConflictUpgrade, ConflictSpinWait:
 		w.lockHeat[h]++
 	default:
 		w.verHeat[h]++
@@ -270,15 +263,15 @@ func (w *Worker) Conflict(table int, key, slot uint64, kind obs.ConflictKind, ho
 		e.slot = slot
 	}
 
-	if w.tr != nil {
-		if el := w.tr.TxnElapsed(now); el > 0 {
+	if tr != nil {
+		if el := tr.TxnElapsed(now); el > 0 {
 			k := uint32(table)<<16 | uint32(pop)<<8 | uint32(kind)
 			ent := w.ex[k]
 			if ent == nil {
 				ent = &exEntry{}
 				w.ex[k] = ent
 			}
-			if el > ent.dur && w.tr.CaptureCurrent(&ent.ex, now, kind.String()) {
+			if el > ent.dur && tr.CaptureCurrent(&ent.ex, now, kind.String()) {
 				ent.dur = el
 			}
 		}
@@ -287,21 +280,23 @@ func (w *Worker) Conflict(table int, key, slot uint64, kind obs.ConflictKind, ho
 
 // LogicalBytes records n committed write-set payload bytes against table —
 // the denominator of the flush-amplification ratio.
-func (w *Worker) LogicalBytes(table uint64, n uint64) {
+func (w *ContendShard) LogicalBytes(table uint64, n uint64) {
 	if w != nil && table < uint64(len(w.logical)) {
 		w.logical[table] += n
 	}
 }
 
-// WALFlushLines implements wal.ContendSink.
-func (w *Worker) WALFlushLines(lines uint64) {
+// WALFlushLines records lines the WAL's per-commit drain path issued clwb
+// for.
+func (w *ContendShard) WALFlushLines(lines uint64) {
 	if w != nil {
 		w.walFlushLines += lines
 	}
 }
 
-// WALGroupWaitNanos implements wal.ContendSink.
-func (w *Worker) WALGroupWaitNanos(nanos uint64) {
+// WALGroupWaitNanos records virtual nanoseconds stalled on group-commit
+// slot reclaim.
+func (w *ContendShard) WALGroupWaitNanos(nanos uint64) {
 	if w != nil {
 		w.walGroupWait += nanos
 	}
@@ -311,14 +306,14 @@ func (w *Worker) WALGroupWaitNanos(nanos uint64) {
 // must run while the workers are quiescent. The merge order is fixed
 // (workers ascending, tables/buckets/kinds ascending, rows re-sorted by
 // conflict count), so identical shard contents produce identical reports.
-func (o *Observatory) Report() *obs.ContentionStats {
+func (o *Observatory) Report() *ContentionStats {
 	if o == nil {
 		return nil
 	}
-	c := &obs.ContentionStats{Algo: o.cfg.Algo}
+	c := &ContentionStats{Algo: o.cfg.Algo}
 
 	// Conflict attribution, densely merged then filtered to non-zero rows.
-	cells := obs.NumPopBuckets * obs.NumConflictKinds
+	cells := NumPopBuckets * NumConflictKinds
 	for t, name := range o.cfg.Tables {
 		for idx := 0; idx < cells; idx++ {
 			var n, wait uint64
@@ -329,9 +324,9 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			if n == 0 && wait == 0 {
 				continue
 			}
-			pop := idx / obs.NumConflictKinds
-			kind := obs.ConflictKind(idx % obs.NumConflictKinds)
-			row := obs.AttributionRow{
+			pop := idx / NumConflictKinds
+			kind := ConflictKind(idx % NumConflictKinds)
+			row := AttributionRow{
 				Table: name, PopBucket: pop, Algo: o.cfg.Algo,
 				Kind: kind.String(), Conflicts: n, WaitNanos: wait,
 			}
@@ -345,7 +340,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			}
 			if best != nil {
 				ex := best.ex
-				ex.Events = append([]obs.Event(nil), best.ex.Events...)
+				ex.Events = append([]Event(nil), best.ex.Events...)
 				row.Exemplar = &ex
 			}
 			c.Attribution = append(c.Attribution, row)
@@ -366,7 +361,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 	})
 
 	// Heat rings.
-	heat := &obs.HeatDump{
+	heat := &HeatDump{
 		Buckets: 1 << heatBits,
 		Lock:    make([]uint64, 1<<heatBits),
 		Version: make([]uint64, 1<<heatBits),
@@ -388,11 +383,11 @@ func (o *Observatory) Report() *obs.ContentionStats {
 
 	// Flush amplification: join attributed writeback cells with per-table
 	// logical bytes by name.
-	amp := map[string]*obs.FlushAmpRow{}
-	rowFor := func(name string) *obs.FlushAmpRow {
+	amp := map[string]*FlushAmpRow{}
+	rowFor := func(name string) *FlushAmpRow {
 		r := amp[name]
 		if r == nil {
-			r = &obs.FlushAmpRow{Table: name}
+			r = &FlushAmpRow{Table: name}
 			amp[name] = r
 		}
 		return r
@@ -401,11 +396,11 @@ func (o *Observatory) Report() *obs.ContentionStats {
 		r := rowFor(name)
 		for i := range o.workers {
 			f := &o.workers[i].flush[ci]
-			r.ClwbLines += f[pmem.ContendClwbLine]
-			r.TrainLines += f[pmem.ContendTrainLine]
-			r.EvictLines += f[pmem.ContendEvictLine]
-			r.XPFullEvicts += f[pmem.ContendXPEvictFull]
-			r.XPPartialEvicts += f[pmem.ContendXPEvictPartial]
+			r.ClwbLines += f[pmem.EvClwbLine]
+			r.TrainLines += f[pmem.EvTrainLine]
+			r.EvictLines += f[pmem.EvEvictLine]
+			r.XPFullEvicts += f[pmem.EvXPEvictFull]
+			r.XPPartialEvicts += f[pmem.EvXPEvictPartial]
 		}
 	}
 	for t, name := range o.cfg.Tables {
@@ -446,7 +441,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 		}
 		if total > 0 {
 			c.BankEvictions = banks
-			var h obs.Histogram
+			var h Histogram
 			for _, n := range banks {
 				h.Observe(n)
 			}
@@ -455,7 +450,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 	}
 
 	// Wait-for graph.
-	wf := &obs.WaitForDump{Workers: len(o.workers), Rounds: o.rounds}
+	wf := &WaitForDump{Workers: len(o.workers), Rounds: o.rounds}
 	in := make([]uint64, len(o.workers))
 	out := make([]uint64, len(o.workers))
 	for i := range o.workers {
@@ -469,7 +464,7 @@ func (o *Observatory) Report() *obs.ContentionStats {
 			if int(e.table) < len(o.cfg.Tables) {
 				table = o.cfg.Tables[e.table]
 			}
-			wf.Edges = append(wf.Edges, obs.WaitForEdge{
+			wf.Edges = append(wf.Edges, WaitForEdge{
 				Waiter: i, Holder: h, Count: e.count, Table: table, Slot: e.slot,
 			})
 			out[i] += e.count
@@ -477,12 +472,12 @@ func (o *Observatory) Report() *obs.ContentionStats {
 		}
 	}
 	if len(wf.Edges) > 0 {
-		wf.Cycles = obs.DetectCycles(len(o.workers), wf.Edges)
+		wf.Cycles = DetectCycles(len(o.workers), wf.Edges)
 		for i := range o.workers {
 			if in[i] == 0 && out[i] == 0 {
 				continue
 			}
-			wf.Hot = append(wf.Hot, obs.WaitForVertex{Worker: i, In: in[i], Out: out[i]})
+			wf.Hot = append(wf.Hot, WaitForVertex{Worker: i, In: in[i], Out: out[i]})
 		}
 		sort.SliceStable(wf.Hot, func(i, j int) bool { return wf.Hot[i].In > wf.Hot[j].In })
 	}

@@ -1,4 +1,4 @@
-package contend
+package obs
 
 import (
 	"encoding/json"
@@ -6,12 +6,11 @@ import (
 	"sync"
 	"testing"
 
-	"falcon/internal/obs"
 	"falcon/internal/pmem"
 )
 
-func testConfig(workers int) Config {
-	return Config{
+func testContendConfig(workers int) ContendConfig {
+	return ContendConfig{
 		Workers: workers,
 		Algo:    "2PL",
 		Tables:  []string{"kv", "aux"},
@@ -23,7 +22,7 @@ func testConfig(workers int) Config {
 // The same function serves the concurrent hammer and the serial replay, so
 // any divergence between the two reports is a merge bug, not a stream bug.
 func drive(o *Observatory, w, events int) {
-	rec := o.Worker(w)
+	rec := Probe{ContendShard: o.Worker(w)}
 	state := uint64(w)*0x9E3779B97F4A7C15 + 1
 	rng := func() uint64 {
 		state ^= state << 13
@@ -37,13 +36,13 @@ func drive(o *Observatory, w, events int) {
 		rec.Touch(table, key)
 		switch rng() % 5 {
 		case 0:
-			rec.Conflict(table, key, key, obs.ConflictLockFail, int(rng()%4), 0, uint64(i))
+			rec.Conflict(table, key, key, ConflictLockFail, int(rng()%4), 0, uint64(i))
 		case 1:
-			rec.Conflict(table, key, key, obs.ConflictTSOrder, -1, 0, uint64(i))
+			rec.Conflict(table, key, key, ConflictTSOrder, -1, 0, uint64(i))
 		case 2:
-			rec.Conflict(table, key, key, obs.ConflictSpinWait, int(rng()%4), rng()%1000, uint64(i))
+			rec.Conflict(table, key, key, ConflictSpinWait, int(rng()%4), rng()%1000, uint64(i))
 		case 3:
-			o.PmemContend(uint64(w), pmem.ContendKind(rng()%5), rng()%(1<<20))
+			o.PmemEvent(uint64(w), pmem.EventKind(rng()%5), rng()%(1<<20), 0, 0)
 		case 4:
 			rec.LogicalBytes(uint64(table), rng()%256)
 		}
@@ -63,7 +62,7 @@ func TestConcurrentMergeEqualsSerialReplay(t *testing.T) {
 	}
 	const events = 20000
 
-	conc := New(testConfig(workers))
+	conc := NewObservatory(testContendConfig(workers))
 	conc.AddRange("kv", 0, 1<<19)
 	conc.AddRange("aux", 1<<19, 1<<20)
 	var wg sync.WaitGroup
@@ -76,7 +75,7 @@ func TestConcurrentMergeEqualsSerialReplay(t *testing.T) {
 	}
 	wg.Wait()
 
-	serial := New(testConfig(workers))
+	serial := NewObservatory(testContendConfig(workers))
 	serial.AddRange("kv", 0, 1<<19)
 	serial.AddRange("aux", 1<<19, 1<<20)
 	for w := 0; w < workers; w++ {
@@ -102,7 +101,7 @@ func TestConcurrentMergeEqualsSerialReplay(t *testing.T) {
 // TestPopularityBuckets checks the log2 bucketing: a key touched 2^k times
 // lands in bucket k+1 and an untouched key in bucket 0.
 func TestPopularityBuckets(t *testing.T) {
-	o := New(testConfig(1))
+	o := NewObservatory(testContendConfig(1))
 	w := o.Worker(0)
 	for i := 0; i < 8; i++ { // 8 = 2^3 touches → bits.Len32(8) = 4
 		w.Touch(0, 42)
@@ -118,19 +117,19 @@ func TestPopularityBuckets(t *testing.T) {
 // TestReportShape checks the merged report carries every section a driven
 // observatory should produce, with attribution rows sorted by count.
 func TestReportShape(t *testing.T) {
-	o := New(testConfig(2))
+	o := NewObservatory(testContendConfig(2))
 	o.AddRange("kv", 0, 1<<16)
-	w0, w1 := o.Worker(0), o.Worker(1)
+	w0, w1 := Probe{ContendShard: o.Worker(0)}, Probe{ContendShard: o.Worker(1)}
 
 	for i := 0; i < 10; i++ {
 		w0.Touch(0, 7)
 	}
 	for i := 0; i < 10; i++ {
-		w0.Conflict(0, 7, 7, obs.ConflictLockFail, 1, 0, uint64(i))
+		w0.Conflict(0, 7, 7, ConflictLockFail, 1, 0, uint64(i))
 	}
-	w1.Conflict(1, 3, 3, obs.ConflictValidation, 0, 0, 1)
-	o.PmemContend(0, pmem.ContendClwbLine, 128)
-	o.PmemContend(1, pmem.ContendXPEvictFull, 512)
+	w1.Conflict(1, 3, 3, ConflictValidation, 0, 0, 1)
+	o.PmemEvent(0, pmem.EvClwbLine, 128, 0, 0)
+	o.PmemEvent(1, pmem.EvXPEvictFull, 512, 0, 0)
 	w0.LogicalBytes(0, 100)
 	o.BarrierTick()
 	o.BarrierTick()

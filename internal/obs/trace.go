@@ -1,6 +1,10 @@
 package obs
 
-import "time"
+import (
+	"time"
+
+	"falcon/internal/pmem"
+)
 
 // EventKind classifies one trace event. Span kinds have a Start and an End
 // virtual timestamp; instant kinds carry only Start.
@@ -163,23 +167,26 @@ func (t *Tracer) Worker(w int) *WorkerTracer {
 	return &t.workers[w]
 }
 
-// PmemTrace adapts the tracer to pmem's dependency-free hook signature
-// (pmem cannot import obs). The shard id of the clock that caused the
-// eviction doubles as the worker id — the same routing the sharded pmem
-// counters use — so the single-writer rule holds: shard s events are only
-// produced while worker s's goroutine runs. Anonymous clocks (setup, crash
-// flushes) land on worker 0, which only records while the workers are
-// stopped.
-func (t *Tracer) PmemTrace(shard uint64, start, end uint64, full bool, blockAddr uint64) {
+// PmemEvent is the tracer's half of the pmem hook (see PmemHook): XPBuffer
+// evictions become EvXPEvict spans, every other kind is ignored. The shard
+// id of the clock that caused the event doubles as the worker id — the same
+// routing the sharded pmem counters use — so the single-writer rule holds:
+// shard s events are only produced while worker s's goroutine runs.
+// Anonymous clocks (setup, crash flushes) land on worker 0, which only
+// records while the workers are stopped.
+func (t *Tracer) PmemEvent(shard uint64, kind pmem.EventKind, addr, start, end uint64) {
 	if t == nil || shard >= uint64(len(t.workers)) {
 		return
 	}
-	var arg uint64
-	if full {
-		arg = 1
+	var full uint64
+	switch kind {
+	case pmem.EvXPEvictFull:
+		full = 1
+	case pmem.EvXPEvictPartial:
+	default:
+		return
 	}
-	w := &t.workers[shard]
-	w.Span(EvXPEvict, start, end, arg, blockAddr)
+	t.workers[shard].Span(EvXPEvict, start, end, full, addr)
 }
 
 // WorkerTracer records one worker's events. All methods are nil-receiver

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"falcon/internal/pmem"
 )
 
 func TestTraceRingWrapOldestFirst(t *testing.T) {
@@ -137,7 +139,17 @@ func TestTracerNilSafety(t *testing.T) {
 	if tr.Dump() != nil {
 		t.Fatal("nil tracer must dump nil")
 	}
-	tr.PmemTrace(0, 0, 1, true, 0)
+	tr.PmemEvent(0, pmem.EvXPEvictFull, 0, 0, 1)
+	// A disarmed probe and a hook with no consumers are inert too.
+	var p Probe
+	p.TxnBegin(1, 0)
+	p.Touch(0, 1)
+	p.Conflict(0, 1, 1, ConflictLockFail, 0, 0, 5)
+	p.WALFlushLines(1)
+	p.TxnEnd(10, -1)
+	if PmemHook(nil, nil) != nil {
+		t.Fatal("hook with no consumers must be nil")
+	}
 	// Out-of-range workers are nil too (engines arm only their own threads).
 	if NewTracer(2, TraceOptions{}).Worker(5) != nil {
 		t.Fatal("out-of-range worker must be nil")
@@ -161,7 +173,8 @@ func buildGoldenDump() *TraceDump {
 	w0.TxnEnd(330, int(AbortValidation))
 	w1 := tr.Worker(1)
 	w1.Span(EvXPEvict, 400, 470, 1, 0x1000)
-	tr.PmemTrace(1, 480, 500, false, 0x2000)
+	tr.PmemEvent(1, pmem.EvXPEvictPartial, 0x2000, 480, 500)
+	tr.PmemEvent(1, pmem.EvClwbLine, 0x2040, 500, 500) // not a trace event
 	return tr.Dump()
 }
 

@@ -52,10 +52,10 @@ type Cache struct {
 	// harnesses only; see FaultPlan). Nil on every production path, so the
 	// hot loops pay a single predictable branch.
 	faults *FaultPlan
-	// contend, when non-nil, receives every dirty-line writeback for
-	// flush-traffic attribution (see ContendFn). Writebacks are off the
-	// hit path, so the disarmed cost is one pointer test per writeback.
-	contend ContendFn
+	// hook, when non-nil, receives every dirty-line writeback (see Hook).
+	// Writebacks are off the hit path, so the disarmed cost is one pointer
+	// test per writeback.
+	hook Hook
 	// dataless marks a timing-only cache: hit/miss/eviction state and cost
 	// charging run as usual, but line payloads are never copied in or out.
 	// Deterministic worker-parallel mode uses one dataless cache per worker
@@ -279,7 +279,7 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 			c.faults.check()
 		}
 		clk.Advance(c.cost.ClwbIssue)
-		c.writeBackResident(clk, sh, la, ContendClwbLine)
+		c.writeBackResident(clk, sh, la, EvClwbLine)
 		if c.faults != nil {
 			c.faults.check() // drains noted under the bank lock
 		}
@@ -288,7 +288,7 @@ func (c *Cache) CLWB(clk *sim.Clock, addr uint64, n int) {
 
 // writeBackResident is the per-line body of CLWB and CLWBTrain: if la is
 // resident and dirty, write it back and leave it clean.
-func (c *Cache) writeBackResident(clk *sim.Clock, sh *StatShard, la uint64, kind ContendKind) {
+func (c *Cache) writeBackResident(clk *sim.Clock, sh *StatShard, la uint64, kind EventKind) {
 	set, base := c.setFor(la)
 	set.mu.lock()
 	if w := c.findHit(base, la); w >= 0 && c.dirty[w] {
@@ -296,8 +296,9 @@ func (c *Cache) writeBackResident(clk *sim.Clock, sh *StatShard, la uint64, kind
 		c.lower.writeBackLine(clk, la, &c.data[w])
 		c.dirty[w] = false
 		sh.ClwbWritebacks.Add(1)
-		if c.contend != nil {
-			c.contend(clk.ShardID(), kind, la)
+		if c.hook != nil {
+			now := clk.Nanos()
+			c.hook(clk.ShardID(), kind, la, now, now)
 		}
 	}
 	set.mu.unlock()
@@ -349,7 +350,7 @@ func (c *Cache) CLWBTrain(clk *sim.Clock, spans []Span) {
 				clk.Advance(c.cost.ClwbTrainNext)
 			}
 			sh.FlushTrainLines.Add(1)
-			c.writeBackResident(clk, sh, la, ContendTrainLine)
+			c.writeBackResident(clk, sh, la, EvTrainLine)
 			if c.faults != nil {
 				c.faults.check() // drains noted under the bank lock
 			}
@@ -429,8 +430,9 @@ func (c *Cache) evictLocked(clk *sim.Clock, sh *StatShard, w int) {
 		clk.Advance(c.cost.LineWriteback)
 		c.lower.writeBackLine(clk, la, &c.data[w])
 		sh.DirtyEvictions.Add(1)
-		if c.contend != nil {
-			c.contend(clk.ShardID(), ContendEvictLine, la)
+		if c.hook != nil {
+			now := clk.Nanos()
+			c.hook(clk.ShardID(), EvEvictLine, la, now, now)
 		}
 	} else {
 		sh.CleanEvictions.Add(1)

@@ -58,12 +58,11 @@ func (s *System) EnterGroup(workers int) {
 	for w := range caches {
 		xpb := NewXPBuffer(s.Dev, s.cfg.XPBufferBytes/workers, banks, s.cfg.Cost)
 		xpb.dataless = true
-		xpb.trace = s.XPB.trace
-		xpb.contend = s.XPB.contend
+		xpb.hook = s.XPB.hook
 		c := newCache(xpb, &s.Dev.stats, s.cfg.Mode, s.cfg.CacheBytes/workers,
 			s.cfg.CacheWays, s.Dev.Size(), s.cfg.Cost)
 		c.dataless = true
-		c.contend = s.Cache.contend
+		c.hook = s.Cache.hook
 		caches[w] = c
 	}
 	s.Space.det = &detPartition{caches: caches}

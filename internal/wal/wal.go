@@ -116,14 +116,12 @@ type Window struct {
 	// like the window itself: only the owning thread updates it, and
 	// snapshots are taken while workers are quiescent.
 	stats obs.WALStats
-	// tr, when armed, receives slot-claim and flush-train trace events.
-	// Owned by the same worker goroutine as the window (single-writer); nil
-	// when tracing is off, so the fast path pays one pointer test.
-	tr *obs.WorkerTracer
-	// contend, when armed, receives flush-line and group-wait attribution
-	// events (see ContendSink). Same single-owner, one-pointer-test
-	// discipline as tr.
-	contend ContendSink
+	// probe is the owning worker's instrumentation handle: its tracer
+	// receives slot-claim, flush-train and epoch-seal events, its
+	// contention shard flush-line and group-wait attribution. Owned by the
+	// same worker goroutine as the window (single-writer); both halves are
+	// nil while disarmed, so the fast path pays one pointer test.
+	probe obs.Probe
 	// scratch is the window's reusable header buffer. Headers must be
 	// written and parsed as multi-word images (one simulated store or load),
 	// so the word-at-a-time Space helpers do not apply; a stack buffer
@@ -169,30 +167,14 @@ func (w *Window) GroupWait(clk *sim.Clock) uint64 {
 	if id == 0 {
 		return 0
 	}
-	n := w.board.reclaimWait(clk, w.tr, id)
-	if n > 0 && w.contend != nil {
-		w.contend.WALGroupWaitNanos(n)
-	}
+	n := w.board.reclaimWait(clk, w.probe.WorkerTracer, id)
+	w.probe.WALGroupWaitNanos(n)
 	return n
 }
 
-// ContendSink receives the window's flush-traffic contributions for the
-// contention observatory: lines the per-commit drain path issued clwb for,
-// and virtual nanoseconds stalled on group-commit slot reclaim. Implemented
-// by the observatory's per-worker recorder; like the window itself it is
-// single-owner, so implementations need no synchronisation.
-type ContendSink interface {
-	WALFlushLines(lines uint64)
-	WALGroupWaitNanos(nanos uint64)
-}
-
-// SetTrace arms (or with nil, disarms) trace-event capture on the window.
-// Must be called while the owning worker is quiescent.
-func (w *Window) SetTrace(tr *obs.WorkerTracer) { w.tr = tr }
-
-// SetContend arms (or with nil, disarms) flush-traffic attribution on the
-// window. Must be called while the owning worker is quiescent.
-func (w *Window) SetContend(sink ContendSink) { w.contend = sink }
+// SetProbe arms the window with the owning worker's probe (the zero Probe
+// disarms). Must be called while the owning worker is quiescent.
+func (w *Window) SetProbe(p obs.Probe) { w.probe = p }
 
 // Stats returns a copy of the window's accumulated gauges, with the slot
 // capacity filled in as the occupancy denominator.
@@ -245,12 +227,12 @@ func (w *Window) Begin(clk *sim.Clock, tid uint64) *TxnLog {
 	if wrapped {
 		w.stats.Wraps++ // reclaiming a previously used slot: the window cycled
 	}
-	if w.tr != nil {
+	if w.probe.WorkerTracer != nil {
 		var wr uint64
 		if wrapped {
 			wr = 1
 		}
-		w.tr.Instant(obs.EvWALClaim, clk.Nanos(), uint64(i), wr)
+		w.probe.Instant(obs.EvWALClaim, clk.Nanos(), uint64(i), wr)
 	}
 	if w.slotEpoch != nil {
 		w.slotEpoch[i] = 0 // the previous record's epoch was sealed by GroupWait
@@ -444,12 +426,10 @@ func (l *TxnLog) drainPending(clk *sim.Clock) {
 		lines += uint64(sp.Lines())
 	}
 	l.w.space.SFence(clk)
-	if l.w.tr != nil {
-		l.w.tr.Span(obs.EvFlushTrain, flushStart, clk.Nanos(), lines, 0)
+	if l.w.probe.WorkerTracer != nil {
+		l.w.probe.Span(obs.EvFlushTrain, flushStart, clk.Nanos(), lines, 0)
 	}
-	if l.w.contend != nil {
-		l.w.contend.WALFlushLines(lines)
-	}
+	l.w.probe.WALFlushLines(lines)
 }
 
 // Commit publishes the record — op counts, then the COMMITTED state — and
@@ -493,7 +473,7 @@ func (l *TxnLog) EnlistData(clk *sim.Clock, epoch uint64, spans []pmem.Span) {
 // followers. Publishers call it once per commit, after EnlistData.
 func (w *Window) SealExpired(clk *sim.Clock) {
 	if w.board != nil {
-		w.board.sealExpired(clk, w.tr)
+		w.board.sealExpired(clk, w.probe.WorkerTracer)
 	}
 }
 
