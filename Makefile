@@ -10,7 +10,7 @@ test:
 
 # The race lane CI runs: -short trims property-check sample counts.
 race:
-	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/core
+	go test -race -short ./internal/obs ./internal/bench ./internal/pmem ./internal/core ./internal/wal
 
 # Worker-parallel race lane: the same engine/simulation packages plus the
 # crash-consistency oracle, with GOMAXPROCS=4 so the group scheduler's round

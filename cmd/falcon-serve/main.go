@@ -16,7 +16,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -46,12 +45,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, c := range presets() {
+		for _, c := range bench.Presets() {
 			fmt.Println(c.Name)
 		}
 		return
 	}
-	cfg, err := findPreset(*preset)
+	cfg, err := bench.Preset(*preset)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -118,33 +117,6 @@ func main() {
 		}
 		fmt.Println("falcon-serve: drained, durability epoch sealed")
 	}
-}
-
-// presets lists the selectable engine configurations (paper Figures 7-11),
-// deduplicated by name.
-func presets() []core.Config {
-	seen := map[string]bool{}
-	var out []core.Config
-	for _, c := range append(bench.EngineConfigs(), bench.AblationConfigs()...) {
-		if !seen[c.Name] {
-			seen[c.Name] = true
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func findPreset(name string) (core.Config, error) {
-	for _, c := range presets() {
-		if strings.EqualFold(c.Name, name) {
-			return c, nil
-		}
-	}
-	names := make([]string, 0)
-	for _, c := range presets() {
-		names = append(names, c.Name)
-	}
-	return core.Config{}, fmt.Errorf("unknown -preset %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // preload inserts the initial kv rows directly through the engine before the

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"falcon/internal/core"
@@ -71,5 +72,32 @@ func TestEstimateDeviceBytesCoversLoad(t *testing.T) {
 	_, _, err := NewTPCC(ecfg, tpcc.Config{Warehouses: 4, Items: 500, CustomersPerDistrict: 60})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPresetLookup checks the preset registry: names match regardless of
+// case, every preset is reachable by its own name, and an unknown name's
+// error lists the valid ones.
+func TestPresetLookup(t *testing.T) {
+	for _, want := range Presets() {
+		got, err := Preset(strings.ToUpper(want.Name))
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", strings.ToUpper(want.Name), err)
+		}
+		if got.Name != want.Name {
+			t.Fatalf("Preset(%q) = %q", strings.ToUpper(want.Name), got.Name)
+		}
+	}
+	if _, err := Preset("inp (small log window)"); err != nil {
+		t.Fatalf("lower-case ablation preset: %v", err)
+	}
+	_, err := Preset("no-such-engine")
+	if err == nil {
+		t.Fatal("unknown preset returned no error")
+	}
+	for _, c := range Presets() {
+		if !strings.Contains(err.Error(), c.Name) {
+			t.Errorf("error %q does not list preset %q", err, c.Name)
+		}
 	}
 }

@@ -12,14 +12,14 @@ import (
 	"falcon/internal/workload/ycsb"
 )
 
-// goldenCells pins the virtual output of three tiny fixed-seed YCSB-A cells:
+// goldenCells pins the virtual output of four tiny fixed-seed YCSB-A cells:
 // a free-running single-worker cell, a two-worker cell on the deterministic
-// group scheduler, and the same cell with group commit. Host-only changes
-// (data-structure layout, allocation, locking) must leave every simulated
-// access in the same address, size and order, so the serialized Result —
-// virtual time, latency histograms, pmem counters, phase nanos — must hash
-// to the same value. A change that deliberately alters the model updates
-// the hashes and says why.
+// group scheduler, that cell with group commit, and that cell armed (below).
+// Host-only changes (data-structure layout, allocation, locking) must leave
+// every simulated access in the same address, size and order, so the
+// serialized Result — virtual time, latency histograms, pmem counters,
+// phase nanos — must hash to the same value. A change that deliberately
+// alters the model updates the hashes and says why.
 //
 // The armed cell runs the two-worker cell with the tracer (every
 // transaction sampled) and the contention observatory both on, and pins

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
+
 	"falcon/internal/core"
 	"falcon/internal/heap"
 	"falcon/internal/index"
@@ -35,6 +38,33 @@ func AblationConfigs() []core.Config {
 		core.InpHotTupleTrackingConfig(),
 		core.FalconConfig(),
 	}
+}
+
+// Presets lists every named engine configuration, EngineConfigs then
+// AblationConfigs, each name once.
+func Presets() []core.Config {
+	seen := map[string]bool{}
+	var out []core.Config
+	for _, c := range append(EngineConfigs(), AblationConfigs()...) {
+		if !seen[c.Name] {
+			seen[c.Name] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Preset returns the preset whose name matches name case-insensitively. The
+// error for an unknown name lists the valid ones.
+func Preset(name string) (core.Config, error) {
+	var names []string
+	for _, c := range Presets() {
+		if strings.EqualFold(c.Name, name) {
+			return c, nil
+		}
+		names = append(names, c.Name)
+	}
+	return core.Config{}, fmt.Errorf("unknown engine preset %q (have: %s)", name, strings.Join(names, ", "))
 }
 
 // EstimateDeviceBytes sizes the simulated NVM device for an engine+tables

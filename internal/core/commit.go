@@ -46,7 +46,18 @@ func (tx *Txn) Commit() error {
 // versions (MVCC), mark the write set COMMITTED (the durable point), apply
 // the updates in place, fence, then run the selective data flush.
 func (tx *Txn) commitInPlace() error {
-	if tx.log.Full() {
+	if err := tx.commitHead(); err != nil {
+		return err
+	}
+	tx.commitInPlaceTail()
+	return nil
+}
+
+// commitHead is the worker-side prologue of every commit with a write set,
+// in each mode: an in-place write set that overflowed the log window cannot
+// commit, and OCC validates the read set.
+func (tx *Txn) commitHead() error {
+	if tx.e.cfg.Update == InPlace && tx.log.Full() {
 		tx.setAbortCause(obs.AbortLogFull)
 		return ErrTxnTooLarge
 	}
@@ -59,7 +70,6 @@ func (tx *Txn) commitInPlace() error {
 			return ErrConflict
 		}
 	}
-	tx.commitInPlaceTail()
 	return nil
 }
 

@@ -329,25 +329,14 @@ func (e *Engine) tcInvalidate(clk *sim.Clock, table uint8, key uint64) {
 // checks and overlay validation locking), then submit the transaction as this
 // round's attempt and park until the barrier has replayed it.
 func (tx *Txn) commitDet() error {
-	e := tx.e
 	if !tx.ro && (len(tx.writes) > 0 || len(tx.inserts) > 0) {
-		if e.cfg.Update == InPlace && tx.log.Full() {
-			tx.setAbortCause(obs.AbortLogFull)
-			return ErrTxnTooLarge
-		}
-		if e.cfg.CC.Base() == cc.OCC {
-			prev := tx.pt.To(obs.PhaseCC)
-			ok := tx.occValidate()
-			tx.pt.To(prev)
-			if !ok {
-				tx.setAbortCause(obs.AbortValidation)
-				return ErrConflict
-			}
+		if err := tx.commitHead(); err != nil {
+			return err
 		}
 	}
 	att := &sim.Attempt{Order: tx.tid, Data: tx}
 	tx.dt.submitted = true
-	e.det.group.Submit(att)
+	tx.e.det.group.Submit(att)
 	if att.OK {
 		return nil
 	}

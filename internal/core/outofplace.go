@@ -28,15 +28,8 @@ import (
 //     idempotently redone by the recovery heap scan, which is why
 //     out-of-place recovery time is proportional to heap size (§5.4, §6.5).
 func (tx *Txn) commitOutOfPlace() error {
-	e := tx.e
-	if e.cfg.CC.Base() == cc.OCC {
-		prev := tx.pt.To(obs.PhaseCC)
-		ok := tx.occValidate()
-		tx.pt.To(prev)
-		if !ok {
-			tx.setAbortCause(obs.AbortValidation)
-			return ErrConflict
-		}
+	if err := tx.commitHead(); err != nil {
+		return err
 	}
 	return tx.commitOutOfPlaceTail()
 }

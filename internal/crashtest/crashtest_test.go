@@ -107,17 +107,6 @@ func TestGroupCommitMidEpochCrash(t *testing.T) {
 	})
 }
 
-func presetByName(t *testing.T, name string) core.Config {
-	t.Helper()
-	for _, cfg := range bench.EngineConfigs() {
-		if cfg.Name == name {
-			return cfg
-		}
-	}
-	t.Fatalf("no preset %q", name)
-	return core.Config{}
-}
-
 // findLastCommittedUpdate scans the log windows on the raw media for the
 // committed record with the highest TID whose first op is an update, and
 // returns the media offset of that op's first data byte. Targeting the
@@ -163,7 +152,11 @@ func findLastCommittedUpdate(dev *pmem.Device, ecfg core.Config, winBase uint64)
 // violating containment; with verification disabled, the garbage replays and
 // the oracle demonstrably fails.
 func TestChecksumCatchesFlippedRecord(t *testing.T) {
-	cell := Cell{Config: presetByName(t, "Inp"), Mode: pmem.ADR}
+	cfg, err := bench.Preset("Inp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell := Cell{Config: cfg, Mode: pmem.ADR}
 
 	run := func(disable bool) (violations []string, corrupt int) {
 		e, m, err := buildCell(cell)
